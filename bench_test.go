@@ -299,3 +299,34 @@ func BenchmarkAriaValidate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAriaFallback measures the fallback schedule on contended
+// transfer-shaped batches: every transaction reads and writes the balance
+// slot of two accounts drawn from 64, so nearly all of a batch aborts and
+// the schedule runs deep. ns/txn should stay flat as the batch grows.
+func BenchmarkAriaFallback(b *testing.B) {
+	for _, size := range []int{128, 1024, 4096} {
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			order := make([]aria.TID, size)
+			sets := map[aria.TID]*aria.RWSet{}
+			for i := range order {
+				tid := aria.TID(i + 1)
+				order[i] = tid
+				rw := aria.NewRWSet()
+				from := r.Intn(64)
+				to := (from + 1 + r.Intn(63)) % 64
+				for _, acct := range []int{from, to} {
+					k := aria.ResKey{Class: 0, Key: fmt.Sprint(acct)}
+					rw.Read(k, aria.EntityBit|aria.SlotBit(0))
+					rw.Write(k, aria.SlotBit(0))
+				}
+				sets[tid] = rw
+			}
+			for b.Loop() {
+				aria.Fallback(order, sets)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/txn")
+		})
+	}
+}

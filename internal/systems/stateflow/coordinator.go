@@ -153,6 +153,10 @@ type epochState struct {
 	// observed footprint against the not-yet-committed lower-TID members'
 	// retained ones.
 	fbFootprints map[aria.TID]*aria.RWSet
+	// fbPending indexes the drift check's pending footprints; it is reset
+	// and refilled every round, reusing its storage, and dropped when the
+	// batch finishes.
+	fbPending aria.DriftIndex
 }
 
 // Coordinator is the StateFlow coordinator node.
@@ -958,18 +962,35 @@ func (c *Coordinator) demoteDriftedMembers(st *epochState) {
 			m.Merge(rw)
 		}
 	}
-	// Not-yet-committed members: every later round's, plus this round's
-	// demotions as the ascending scan accumulates them — by the time a
-	// member is checked, every lower-TID same-round demotion is pending.
-	pending := map[aria.TID]bool{}
+	// Not-yet-committed members are pending: every later round's, plus
+	// this round's demotions as the ascending scan accumulates them — by
+	// the time a member is checked, every lower-TID same-round demotion is
+	// pending. The index keeps their declared footprints per reservation
+	// bit, so a member's check costs its own footprint, not a scan of the
+	// pending set; its storage is reused round to round. A later-round
+	// member above this round's highest TID is never lower than a checked
+	// member, so it stays out of the index.
+	var highest aria.TID
+	if n := len(st.fbOrder); n > 0 {
+		highest = st.fbOrder[n-1]
+	}
+	pending := &st.fbPending
+	pending.Reset()
+	addPending := func(tid aria.TID) {
+		if fp := st.fbFootprints[tid]; fp != nil {
+			pending.Add(tid, fp)
+		}
+	}
 	for _, round := range st.fbRounds {
 		for _, tid := range round {
-			pending[tid] = true
+			if tid < highest {
+				addPending(tid)
+			}
 		}
 	}
 	for _, tid := range st.fbOrder { // fbOrder is TID-sorted
 		if st.unionAbort[tid] {
-			pending[tid] = true
+			addPending(tid)
 			continue
 		}
 		if st.batch[tid].err != "" {
@@ -979,14 +1000,10 @@ func (c *Coordinator) demoteDriftedMembers(st *epochState) {
 		if rw == nil {
 			continue
 		}
-		for lower := range pending {
-			fp := st.fbFootprints[lower]
-			if lower < tid && fp != nil && aria.Conflicts(rw, fp) {
-				st.unionAbort[tid] = true
-				pending[tid] = true
-				c.FallbackDriftDemotions++
-				break
-			}
+		if pending.ConflictsBelow(tid, rw) {
+			st.unionAbort[tid] = true
+			addPending(tid)
+			c.FallbackDriftDemotions++
 		}
 	}
 	// Widen demoted members' retained footprints by what this round
@@ -1118,6 +1135,9 @@ func (c *Coordinator) spillFallback(ctx *sim.Context, st *epochState) {
 // commit slot.
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++
+	// The fallback phase is over: drop the drift index's storage rather
+	// than carry it through the slot's remaining phases.
+	st.fbPending = aria.DriftIndex{}
 	// No snapshot while a binding replay is in flight: the images would
 	// capture some binding effects but not the queued remainder, and the
 	// release-time classification (entry.at vs the snapshot's cut) cannot

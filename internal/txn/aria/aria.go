@@ -20,7 +20,10 @@
 package aria
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"statefulentities.dev/stateflow/internal/core"
@@ -396,29 +399,6 @@ func Validate(order []TID, sets map[TID]*RWSet) []TID {
 	return aborts
 }
 
-// overlaps reports whether any reservation bit of a intersects b.
-func overlaps(a, b map[ResKey]Bits) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k, bits := range a {
-		if b[k]&bits != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Conflicts reports whether two reservation sets touch overlapping
-// reservation bits in a way that orders them (WAW, RAW or WAR): if so,
-// the two transactions must commit in their relative serial order —
-// read/read overlap alone never conflicts.
-func Conflicts(a, b *RWSet) bool {
-	return overlaps(a.Writes, b.Writes) ||
-		overlaps(a.Writes, b.Reads) ||
-		overlaps(b.Writes, a.Reads)
-}
-
 // Schedule is the fallback phase's deterministic plan for a batch's
 // conflict-aborted transactions: which of them commit via deterministic
 // re-execution and in what order.
@@ -436,33 +416,40 @@ type Schedule struct {
 
 // Fallback computes Aria's deterministic fallback schedule: the second
 // validation pass that rescues conflict-aborted transactions instead of
-// kicking them into the next batch. It rebuilds the batch's dependency
-// graph from the gathered reservation sets and layers the aborted
-// transactions into re-execution rounds: a transaction whose conflicts
-// are all with earlier rounds (or with standard-committed transactions,
-// which apply before any fallback round) is reorderable — it re-executes
-// against the then-current committed state and commits in its round.
-// Every conflict edge (RAW, WAW, WAR) between two aborted transactions
-// orders the higher TID after the lower, so the resulting serial order
-// is exactly the one the legacy retry path would have produced across
-// one batch per round — a pure conflict chain drains in one batch
-// instead of one commit per batch.
+// kicking them into the next batch. It layers the aborted transactions
+// into re-execution rounds: a transaction whose conflicts are all with
+// earlier rounds (or with standard-committed transactions, which apply
+// before any fallback round) is reorderable — it re-executes against the
+// then-current committed state and commits in its round. Every conflict
+// edge (RAW, WAW, WAR) between two aborted transactions orders the higher
+// TID after the lower, so the resulting serial order is exactly the one
+// the legacy retry path would have produced across one batch per round —
+// a pure conflict chain drains in one batch instead of one commit per
+// batch.
+//
+// A transaction's round is one past the latest round of any lower-TID
+// aborted transaction it conflicts with. Rather than testing every pair,
+// the pass walks the aborted transactions in TID order over a per-key,
+// per-bit index of the latest round that has written each reservation bit
+// and the latest that has touched (read or written) it — Aria's
+// last-writer/last-reader dependency analysis (Lu et al., §4). The bits a
+// transaction reads look up the writers, the bits it writes look up the
+// touchers, and its own footprint then raises both. The cost is
+// O(Σ footprint × bits per key) instead of O(aborted² × footprint).
 //
 // The schedule is a pure function of (order, sets): every node computing
 // it from the same global reservation sets reaches the same plan.
 func Fallback(order []TID, sets map[TID]*RWSet) Schedule {
 	aborted := Validate(order, sets)
 	var sched Schedule
-	round := make(map[TID]int, len(aborted))
-	for i, tid := range aborted {
+	latest := conflictIndex[int]{keepMax: true}
+	for _, tid := range aborted {
 		rw := sets[tid]
 		r := 0
-		for _, lower := range aborted[:i] {
-			if round[lower] >= r && Conflicts(sets[lower], rw) {
-				r = round[lower] + 1
-			}
+		if last, ok := latest.against(rw); ok {
+			r = last + 1
 		}
-		round[tid] = r
+		latest.add(rw, r)
 		for len(sched.Rounds) <= r {
 			sched.Rounds = append(sched.Rounds, nil)
 		}
@@ -472,6 +459,162 @@ func Fallback(order []TID, sets map[TID]*RWSet) Schedule {
 		sched.Commit = append(sched.Commit, members...)
 	}
 	return sched
+}
+
+// DriftIndex answers the fallback drift check: does a not-yet-committed
+// (pending) transaction with a lower TID hold a footprint that conflicts
+// with a round member's observed one? It keeps, per reservation key and
+// bit, the lowest pending TID that writes the bit and the lowest that
+// touches it, so each check costs O(footprint) rather than a scan of the
+// pending set. The zero value is ready to use; Reset empties it while
+// keeping its storage for the next round.
+type DriftIndex struct {
+	lowest conflictIndex[TID]
+}
+
+// Reset empties the index, retaining its allocations.
+func (d *DriftIndex) Reset() { d.lowest.reset() }
+
+// Add marks tid, with footprint fp, as pending.
+func (d *DriftIndex) Add(tid TID, fp *RWSet) { d.lowest.add(fp, tid) }
+
+// ConflictsBelow reports whether some pending transaction with a TID
+// below tid conflicts (WAW, RAW or WAR) with footprint rw.
+func (d *DriftIndex) ConflictsBelow(tid TID, rw *RWSet) bool {
+	lowest, ok := d.lowest.against(rw)
+	return ok && lowest < tid
+}
+
+// conflictIndex folds one value per footprint into every reservation bit
+// the footprint reserves, keeping the largest (keepMax) or smallest value
+// per bit, separately for the bits written and the bits touched (read or
+// written). against then finds the extreme value among the footprints a
+// new set conflicts with: writers of the bits it reads, touchers of the
+// bits it writes — read/read overlap never conflicts.
+type conflictIndex[V cmp.Ordered] struct {
+	keepMax bool
+	keys    map[ResKey]int // → rows
+	rows    []conflictRow[V]
+}
+
+// conflictRow holds one reservation key's values.
+type conflictRow[V cmp.Ordered] struct {
+	writers, touchers bitValues[V]
+}
+
+// reset empties the index; the rows keep their storage for reuse.
+func (x *conflictIndex[V]) reset() {
+	clear(x.keys)
+	for i := range x.rows {
+		x.rows[i].writers.clear()
+		x.rows[i].touchers.clear()
+	}
+	x.rows = x.rows[:0]
+}
+
+// better reports whether a should replace b as a bit's value: the larger
+// one when keepMax, else the smaller.
+func better[V cmp.Ordered](keepMax bool, a, b V) bool {
+	if keepMax {
+		return a > b
+	}
+	return a < b
+}
+
+// row returns k's row, creating it (over reused storage) when absent.
+func (x *conflictIndex[V]) row(k ResKey) *conflictRow[V] {
+	if i, ok := x.keys[k]; ok {
+		return &x.rows[i]
+	}
+	if x.keys == nil {
+		x.keys = map[ResKey]int{}
+	}
+	n := len(x.rows)
+	x.keys[k] = n
+	x.rows = slices.Grow(x.rows, 1)[:n+1]
+	return &x.rows[n]
+}
+
+// add folds v into fp's footprint.
+func (x *conflictIndex[V]) add(fp *RWSet, v V) {
+	for k, b := range fp.Writes {
+		r := x.row(k)
+		r.writers.fold(b, v, x.keepMax)
+		r.touchers.fold(b, v, x.keepMax)
+	}
+	for k, b := range fp.Reads {
+		x.row(k).touchers.fold(b, v, x.keepMax)
+	}
+}
+
+// against returns the extreme value among the footprints rw conflicts
+// with, and whether there is any.
+func (x *conflictIndex[V]) against(rw *RWSet) (best V, found bool) {
+	look := func(bv *bitValues[V], b Bits) {
+		if v, ok := bv.pick(b, x.keepMax); ok && (!found || better(x.keepMax, v, best)) {
+			best, found = v, true
+		}
+	}
+	for k, b := range rw.Reads {
+		if i, ok := x.keys[k]; ok {
+			look(&x.rows[i].writers, b)
+		}
+	}
+	for k, b := range rw.Writes {
+		if i, ok := x.keys[k]; ok {
+			look(&x.rows[i].touchers, b)
+		}
+	}
+	return best, found
+}
+
+// bitValues holds one value per reservation bit, densely for the bits
+// that have one: vals[i] belongs to the i-th lowest set bit of bits. A
+// footprint of a slot or two per key costs a word or two, not a 64-entry
+// array.
+type bitValues[V cmp.Ordered] struct {
+	bits Bits
+	vals []V
+}
+
+func (bv *bitValues[V]) clear() {
+	bv.bits = 0
+	bv.vals = bv.vals[:0]
+}
+
+// rank is the index into vals of bit i.
+func (bv *bitValues[V]) rank(i int) int {
+	return bits.OnesCount64(uint64(bv.bits) & (1<<uint(i) - 1))
+}
+
+// fold merges v into every bit of b: a bit without a value takes v, one
+// with a value keeps the better of the two.
+func (bv *bitValues[V]) fold(b Bits, v V, keepMax bool) {
+	for b != 0 {
+		i := bits.TrailingZeros64(uint64(b))
+		b &= b - 1
+		at := bv.rank(i)
+		if bv.bits&(1<<uint(i)) == 0 {
+			bv.bits |= 1 << uint(i)
+			bv.vals = slices.Insert(bv.vals, at, v)
+		} else if better(keepMax, v, bv.vals[at]) {
+			bv.vals[at] = v
+		}
+	}
+}
+
+// pick returns the best value held by a bit of b, and whether any bit of
+// b holds one.
+func (bv *bitValues[V]) pick(b Bits, keepMax bool) (best V, found bool) {
+	b &= bv.bits
+	for b != 0 {
+		i := bits.TrailingZeros64(uint64(b))
+		b &= b - 1
+		if v := bv.vals[bv.rank(i)]; !found || better(keepMax, v, best) {
+			best, found = v, true
+		}
+	}
+	return best, found
 }
 
 // Interface checks.

@@ -2,6 +2,8 @@ package aria
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -331,6 +333,260 @@ func TestFallbackScheduleProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// overlaps reports whether any reservation bit of a intersects b.
+func overlaps(a, b map[ResKey]Bits) bool {
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	for k, bits := range a {
+		if b[k]&bits != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Conflicts is the pairwise reference for the conflict indexes: two
+// reservation sets conflict when they touch overlapping reservation bits
+// in a way that orders them (WAW, RAW or WAR) — read/read overlap alone
+// never conflicts.
+func Conflicts(a, b *RWSet) bool {
+	return overlaps(a.Writes, b.Writes) ||
+		overlaps(a.Writes, b.Reads) ||
+		overlaps(b.Writes, a.Reads)
+}
+
+// fallbackPairwise is the reference Fallback: each aborted transaction is
+// tested against every lower aborted one, O(aborted²) Conflicts calls.
+func fallbackPairwise(order []TID, sets map[TID]*RWSet) Schedule {
+	aborted := Validate(order, sets)
+	var sched Schedule
+	round := make(map[TID]int, len(aborted))
+	for i, tid := range aborted {
+		rw := sets[tid]
+		r := 0
+		for _, lower := range aborted[:i] {
+			if round[lower] >= r && Conflicts(sets[lower], rw) {
+				r = round[lower] + 1
+			}
+		}
+		round[tid] = r
+		for len(sched.Rounds) <= r {
+			sched.Rounds = append(sched.Rounds, nil)
+		}
+		sched.Rounds[r] = append(sched.Rounds[r], tid)
+	}
+	for _, members := range sched.Rounds {
+		sched.Commit = append(sched.Commit, members...)
+	}
+	return sched
+}
+
+// randomBits draws a reservation bitmap of the shapes the workspace
+// records: one or a few slot bits, the entity bit, an overflow slot (which
+// maps to the entity bit), or every bit (creation, PutBlind).
+func randomBits(r *rand.Rand) Bits {
+	switch r.Intn(8) {
+	case 0:
+		return EntityBit
+	case 1:
+		return AllBits
+	case 2:
+		return SlotBit(63 + r.Intn(4))
+	case 3:
+		return SlotBit(r.Intn(4)) | SlotBit(r.Intn(63)) | EntityBit
+	default:
+		return SlotBit(r.Intn(4))
+	}
+}
+
+// randomSet draws a footprint over a few hot keys of two classes: read
+// and write, read-only, write-only or empty.
+func randomSet(r *rand.Rand, keys int) *RWSet {
+	rw := NewRWSet()
+	shape := r.Intn(8)
+	if shape == 0 {
+		return rw
+	}
+	for j := 0; j < 1+r.Intn(3); j++ {
+		k := ResKey{Class: int32(r.Intn(2)), Key: string(rune('a' + r.Intn(keys)))}
+		if shape != 1 { // 1: write-only
+			rw.Read(k, randomBits(r))
+		}
+		if shape != 2 { // 2: read-only
+			rw.Write(k, randomBits(r))
+		}
+	}
+	return rw
+}
+
+// randomBatch draws a batch of n transactions; some carry no set at all
+// (they touched no worker that voted one).
+func randomBatch(r *rand.Rand, n int) ([]TID, map[TID]*RWSet) {
+	keys := 1 + r.Intn(8)
+	order := make([]TID, n)
+	sets := map[TID]*RWSet{}
+	for i := range order {
+		tid := TID(i + 1)
+		order[i] = tid
+		if r.Intn(20) != 0 {
+			sets[tid] = randomSet(r, keys)
+		}
+	}
+	return order, sets
+}
+
+// The indexed Fallback must return exactly the pairwise reference's
+// schedule — rounds and commit order, element for element.
+func TestFallbackMatchesPairwiseReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	batches := 2000
+	if testing.Short() {
+		batches = 300
+	}
+	for i := 0; i < batches; i++ {
+		// Log-uniform sizes in [2, 1024]: mostly small batches, a steady
+		// share of large ones.
+		n := 2 + r.Intn(1<<uint(1+r.Intn(10))-1)
+		order, sets := randomBatch(r, n)
+		got, want := Fallback(order, sets), fallbackPairwise(order, sets)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d (n=%d): indexed schedule %v differs from pairwise %v",
+				i, n, got.Rounds, want.Rounds)
+		}
+	}
+}
+
+// driftCase is one fallback round's drift check: later rounds' pending
+// members, this round's TID-sorted members with their outcome, the
+// observed footprints of this round and the retained declared ones.
+type driftCase struct {
+	later    []TID
+	order    []TID
+	aborted  map[TID]bool
+	errored  map[TID]bool
+	observed map[TID]*RWSet
+	declared map[TID]*RWSet
+}
+
+func randomDriftCase(r *rand.Rand) driftCase {
+	keys := 1 + r.Intn(6)
+	n := 1 + r.Intn(40)
+	// Shuffle 2n TIDs; the first half re-runs in later rounds (any TID),
+	// the second half is this round.
+	tids := r.Perm(2 * n)
+	c := driftCase{
+		aborted: map[TID]bool{}, errored: map[TID]bool{},
+		observed: map[TID]*RWSet{}, declared: map[TID]*RWSet{},
+	}
+	for i, v := range tids {
+		tid := TID(v + 1)
+		if r.Intn(10) != 0 {
+			c.declared[tid] = randomSet(r, keys)
+		}
+		if i < n {
+			c.later = append(c.later, tid)
+			continue
+		}
+		c.order = append(c.order, tid)
+		switch r.Intn(6) {
+		case 0:
+			c.aborted[tid] = true
+		case 1:
+			c.errored[tid] = true
+		}
+		if r.Intn(10) != 0 {
+			c.observed[tid] = randomSet(r, keys)
+		}
+	}
+	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
+	return c
+}
+
+// demotePairwise is the reference drift check: each committing member is
+// tested against every pending member with a lower TID. It returns the
+// demoted members in TID order.
+func (c driftCase) demotePairwise() []TID {
+	pending := map[TID]bool{}
+	for _, tid := range c.later {
+		pending[tid] = true
+	}
+	var demoted []TID
+	for _, tid := range c.order {
+		if c.aborted[tid] {
+			pending[tid] = true
+			continue
+		}
+		rw := c.observed[tid]
+		if c.errored[tid] || rw == nil {
+			continue
+		}
+		for lower := range pending {
+			fp := c.declared[lower]
+			if lower < tid && fp != nil && Conflicts(rw, fp) {
+				pending[tid] = true
+				demoted = append(demoted, tid)
+				break
+			}
+		}
+	}
+	return demoted
+}
+
+// demoteIndexed runs the same check over a DriftIndex, leaving out the
+// later-round members above the round's highest TID as the coordinator
+// does.
+func (c driftCase) demoteIndexed(idx *DriftIndex) []TID {
+	idx.Reset()
+	addPending := func(tid TID) {
+		if fp := c.declared[tid]; fp != nil {
+			idx.Add(tid, fp)
+		}
+	}
+	highest := c.order[len(c.order)-1]
+	for _, tid := range c.later {
+		if tid < highest {
+			addPending(tid)
+		}
+	}
+	var demoted []TID
+	for _, tid := range c.order {
+		if c.aborted[tid] {
+			addPending(tid)
+			continue
+		}
+		rw := c.observed[tid]
+		if c.errored[tid] || rw == nil {
+			continue
+		}
+		if idx.ConflictsBelow(tid, rw) {
+			addPending(tid)
+			demoted = append(demoted, tid)
+		}
+	}
+	return demoted
+}
+
+// The drift index must report exactly the demotions of the pairwise
+// pending scan. One index serves every case, so reuse across rounds is
+// covered too.
+func TestDriftIndexMatchesPairwiseReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	var idx DriftIndex
+	demotions := 0
+	for i := 0; i < 3000; i++ {
+		c := randomDriftCase(r)
+		got, want := c.demoteIndexed(&idx), c.demotePairwise()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: indexed demotions %v, pairwise %v", i, got, want)
+		}
+		demotions += len(want)
+	}
+	if demotions == 0 {
+		t.Fatal("vacuous: no case demoted anything")
 	}
 }
 
