@@ -256,8 +256,8 @@ func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, recor
 		fmt.Printf("fallback phase: %d rounds, %d rescued commits\n", c.FallbackRounds, c.FallbackCommits)
 		if sf.Dlog != nil {
 			ls := sf.Dlog.Stats()
-			fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
-				ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
+			fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (last %d B; %d records dropped below the retain bound, %d retained), %d torn tails discarded\n",
+				ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.CheckpointBytes, ls.Compacted, sf.Dlog.Len(), ls.TornTails)
 		}
 	}
 	if sh != nil {

@@ -13,20 +13,27 @@ import (
 func rec(kind Kind, s string) Record { return Record{Kind: kind, Data: []byte(s)} }
 
 // TestSimLogCrashPointSweep generates scripted op sequences (appends,
-// blocking syncs, group-commit syncs, checkpoints) from seeds and crashes
-// the log at every interesting virtual instant of each script. After
-// every crash the recovered image must be exactly the durable prefix:
-// records covered by a completed sync, nothing from the volatile tail,
-// and a torn tail detected whenever one existed — never replayed.
+// blocking syncs, group-commit syncs, checkpoints with random retain
+// bounds) from seeds and crashes the log at every interesting virtual
+// instant of each script. After every crash the recovered image must be
+// exactly the durable prefix: the retained records a checkpoint kept
+// (durable from the checkpoint on) plus those covered by a completed
+// sync, each with its LSN, nothing from the volatile tail, and a torn
+// tail detected whenever one existed — never replayed.
 func TestSimLogCrashPointSweep(t *testing.T) {
 	type op struct {
-		kind string // append | syncnow | syncat | checkpoint
-		at   time.Duration
-		done time.Duration // syncat completion
-		data string
+		kind   string // append | syncnow | syncat | checkpoint
+		at     time.Duration
+		done   time.Duration // syncat completion
+		data   string
+		retain int64 // checkpoint retain bound
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		// Retain bounds come from their own stream, so the op scripts stay
+		// the ones the seeds always generated.
+		retainRng := rand.New(rand.NewSource(-seed))
+		appended := int64(0)
 		var ops []op
 		now := time.Duration(0)
 		n := 6 + rng.Intn(10)
@@ -39,8 +46,16 @@ func TestSimLogCrashPointSweep(t *testing.T) {
 				ops = append(ops, op{kind: "syncat", at: now,
 					done: now + time.Duration(rng.Intn(4)+1)*time.Millisecond})
 			case 2:
-				ops = append(ops, op{kind: "checkpoint", at: now, data: fmt.Sprintf("ckpt-%d-%d", seed, i)})
+				// Drop everything (the pre-suffix contract), or keep the
+				// records from a random LSN on (possibly none, possibly
+				// all of them).
+				retain := RetainNone
+				if retainRng.Intn(3) > 0 {
+					retain = 1 + retainRng.Int63n(appended+2)
+				}
+				ops = append(ops, op{kind: "checkpoint", at: now, data: fmt.Sprintf("ckpt-%d-%d", seed, i), retain: retain})
 			default:
+				appended++
 				ops = append(ops, op{kind: "append", at: now, data: fmt.Sprintf("rec-%d-%d", seed, i)})
 			}
 		}
@@ -58,23 +73,26 @@ func TestSimLogCrashPointSweep(t *testing.T) {
 		for _, crashAt := range crashes {
 			l := NewSimLog()
 			// expected durable state, tracked independently.
-			var base string
-			var durable []string
-			var tail []struct {
+			type modelRec struct {
 				data      string
+				lsn       int64
 				durableAt time.Duration
 			}
+			var base string
+			var durable []modelRec
+			var tail []modelRec
+			lsn := int64(0)
 			for _, o := range ops {
 				if o.at > crashAt {
 					break
 				}
 				switch o.kind {
 				case "append":
-					l.Append(rec(1, o.data))
-					tail = append(tail, struct {
-						data      string
-						durableAt time.Duration
-					}{o.data, -1})
+					lsn++
+					if got := l.Append(rec(1, o.data)); got != lsn {
+						t.Fatalf("seed %d: append returned LSN %d, want %d", seed, got, lsn)
+					}
+					tail = append(tail, modelRec{o.data, lsn, -1})
 				case "syncnow":
 					l.SyncNow(o.at)
 					for i := range tail {
@@ -90,17 +108,24 @@ func TestSimLogCrashPointSweep(t *testing.T) {
 						}
 					}
 				case "checkpoint":
-					l.Checkpoint(o.at, []byte(o.data))
+					l.Checkpoint([]byte(o.data), o.retain)
 					base = o.data
-					tail = tail[:0]
+					kept := tail[:0]
+					for _, r := range tail {
+						if r.lsn >= o.retain {
+							r.durableAt = 0 // durable with the payload
+							kept = append(kept, r)
+						}
+					}
+					tail = kept
 				}
 			}
 			// Records whose sync completed by the crash are durable; the
 			// volatile remainder must vanish (first as a torn tail).
 			volatile := 0
 			for _, r := range tail {
-				if r.durableAt >= 0 && r.durableAt <= crashAt {
-					durable = append(durable, r.data)
+				if r.durableAt >= 0 && r.durableAt <= crashAt && volatile == 0 {
+					durable = append(durable, r)
 				} else {
 					volatile++
 				}
@@ -114,10 +139,13 @@ func TestSimLogCrashPointSweep(t *testing.T) {
 					seed, crashAt, len(got.Records), len(durable), volatile)
 			}
 			for i, r := range got.Records {
-				if string(r.Data) != durable[i] {
-					t.Fatalf("seed %d crash@%s: record %d = %q, want %q",
-						seed, crashAt, i, r.Data, durable[i])
+				if string(r.Data) != durable[i].data || r.LSN != durable[i].lsn {
+					t.Fatalf("seed %d crash@%s: record %d = %q@%d, want %q@%d",
+						seed, crashAt, i, r.Data, r.LSN, durable[i].data, durable[i].lsn)
 				}
+			}
+			if len(durable) > 0 && got.FirstLSN != durable[0].lsn {
+				t.Fatalf("seed %d crash@%s: FirstLSN %d, want %d", seed, crashAt, got.FirstLSN, durable[0].lsn)
 			}
 			if got.Torn != (volatile > 0) {
 				t.Fatalf("seed %d crash@%s: torn=%v with %d volatile records",
@@ -144,12 +172,62 @@ func TestSimLogSyncAtGroupCommit(t *testing.T) {
 	}
 }
 
+// TestSimLogRetainedSuffix pins the retain-bound contract across
+// checkpoints and crashes: a checkpoint drops exactly the records below
+// its bound and makes the rest durable at once, LSNs are never reused
+// (a crash-lost record leaves a gap that the survivors' own LSNs show),
+// and reclaiming the dropped prefix keeps every payload intact.
+func TestSimLogRetainedSuffix(t *testing.T) {
+	l := NewSimLog()
+	for i := 1; i <= 100; i++ {
+		l.Append(Record{Kind: 1, At: int64(i), Data: []byte(fmt.Sprintf("r%03d", i))})
+	}
+	// Volatile until the checkpoint: its sync covers the retained suffix,
+	// whatever instant a crash lands at.
+	l.Checkpoint([]byte("c1"), 90)
+	if l.Len() != 11 || l.Stats().Compacted != 89 {
+		t.Fatalf("after retain 90: %d live, %d compacted; want 11, 89", l.Len(), l.Stats().Compacted)
+	}
+	l.Checkpoint([]byte("c2"), 95)
+	l.Append(rec(1, "lost")) // LSN 101, never synced
+	l.Crash(0)
+	l.Append(rec(2, "after")) // LSN 102
+	l.SyncNow(4 * time.Millisecond)
+	got := l.Recover(5 * time.Millisecond)
+	if string(got.Checkpoint) != "c2" || !got.Torn || got.FirstLSN != 95 {
+		t.Fatalf("image: checkpoint %q torn %v first %d", got.Checkpoint, got.Torn, got.FirstLSN)
+	}
+	var want []string
+	for i := 95; i <= 100; i++ {
+		want = append(want, fmt.Sprintf("%d:r%03d@%d", i, i, i))
+	}
+	want = append(want, "102:after@0")
+	if len(got.Records) != len(want) {
+		t.Fatalf("%d records recovered, want %d", len(got.Records), len(want))
+	}
+	for i, r := range got.Records {
+		if s := fmt.Sprintf("%d:%s@%d", r.LSN, r.Data, r.At); s != want[i] {
+			t.Fatalf("record %d = %s, want %s", i, s, want[i])
+		}
+	}
+	if st := l.Stats(); st.CheckpointBytes != 2 || st.Checkpoints != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+	l.Checkpoint([]byte("c3"), RetainNone)
+	if l.Len() != 0 || len(l.Recover(7*time.Millisecond).Records) != 0 {
+		t.Fatalf("RetainNone kept %d records", l.Len())
+	}
+}
+
 // NewSimLogFrom deep-copies a SimLog so a test can probe alternative
 // crash instants of one history.
 func NewSimLogFrom(l *SimLog) *SimLog {
-	c := &SimLog{base: append([]byte(nil), l.base...), hasBase: l.hasBase, stats: l.stats}
-	c.recs = append(c.recs, l.recs...)
-	return c
+	c := *l
+	c.base = append([]byte(nil), l.base...)
+	c.recs = append([]simRec(nil), l.recs...)
+	c.data = append([]byte(nil), l.data...)
+	c.syncs = append([]syncGroup(nil), l.syncs...)
+	return &c
 }
 
 // TestFileLogTornTailByteSweep builds a real log file, then replays every

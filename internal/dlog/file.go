@@ -252,6 +252,7 @@ func (l *FileLog) Checkpoint(payload []byte) error {
 	old.Close()
 	l.f = f
 	l.stats.Checkpoints++
+	l.stats.CheckpointBytes = len(payload)
 	return nil
 }
 

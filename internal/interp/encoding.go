@@ -151,12 +151,23 @@ func (d *Decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.off+int(n) > len(d.buf) {
+	if n > uint64(d.Remaining()) {
 		return "", fmt.Errorf("decode: string overruns buffer")
 	}
 	s := string(d.buf[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s, nil
+}
+
+// count reads an element count, rejecting one the remaining bytes cannot
+// hold (every element encodes to at least one byte), so a corrupt count
+// fails instead of sizing an allocation.
+func (d *Decoder) count() (uint64, error) {
+	n, err := d.uvarint()
+	if err == nil && n > uint64(d.Remaining()) {
+		err = fmt.Errorf("decode: count %d overruns buffer", n)
+	}
+	return n, err
 }
 
 // Uvarint reads an unsigned varint (exported counterpart of
@@ -204,16 +215,20 @@ func (d *Decoder) Value() (Value, error) {
 		}
 		return BoolV(b == 1), nil
 	case KList:
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return None, err
 		}
-		elems := make([]Value, n)
-		for i := range elems {
-			elems[i], err = d.Value()
+		// Grown as elements decode, not sized by the count: nested lists
+		// with corrupt counts must not allocate per level what the
+		// remaining bytes could claim.
+		var elems []Value
+		for i := uint64(0); i < n; i++ {
+			el, err := d.Value()
 			if err != nil {
 				return None, err
 			}
+			elems = append(elems, el)
 		}
 		return ListV(elems...), nil
 	case KDict:
@@ -253,7 +268,7 @@ func (d *Decoder) Value() (Value, error) {
 
 // Env reads an environment.
 func (d *Decoder) Env() (Env, error) {
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}

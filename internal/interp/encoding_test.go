@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +154,38 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	enc := append(EncodeValue(IntV(1)), 0xFF)
 	if _, err := DecodeValue(enc); err == nil {
 		t.Fatal("trailing bytes should fail")
+	}
+}
+
+// TestDecodeCorruptLengths: a length or count the remaining bytes cannot
+// hold is an error, never a panic — a string length that overflows int,
+// a list count of 2^62 — and a count that fits is not trusted to size an
+// allocation: lists nested ~1 300 deep, each claiming 1 000 elements, fail
+// after a few kilobytes of allocation, not per-level arrays of the claim.
+func TestDecodeCorruptLengths(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, err := DecodeValue(append([]byte{byte(KStr)}, huge...)); err == nil {
+		t.Fatal("string length 2^64-1 decoded without error")
+	}
+	if _, err := DecodeValue([]byte{byte(KList), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}); err == nil {
+		t.Fatal("list count 2^62 decoded without error")
+	}
+	if _, err := NewDecoder(huge).Env(); err == nil {
+		t.Fatal("env count 2^64-1 decoded without error")
+	}
+	var nested []byte
+	for len(nested) < 3900 {
+		nested = append(nested, byte(KList), 0xe8, 0x07) // count 1000
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeValue(nested)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("nested lists with unfillable counts decoded without error")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d bytes", len(nested), alloc)
 	}
 }
 

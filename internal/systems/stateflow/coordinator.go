@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/core"
+	"statefulentities.dev/stateflow/internal/dlog"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
@@ -79,6 +80,12 @@ type stagedResponse struct {
 	lsn     int64
 	replyTo string
 	ent     deliveredEntry
+}
+
+// releasedRef names one delivered entry by its delivered-record's LSN.
+type releasedRef struct {
+	lsn int64
+	id  string
 }
 
 type pendingReq struct {
@@ -218,9 +225,23 @@ type Coordinator struct {
 	// response, its release time and source position. It dedupes client
 	// responses across recovery replays (exactly-once output at the system
 	// border) and re-serves the recorded response to a retrying client
-	// whose copy was lost. Durable: rebuilt from the dlog on restart,
-	// compacted into checkpoints, pruned by the retention window.
+	// whose copy was lost. Durable: each entry's delivered-record stays in
+	// the dlog's retained suffix while the entry is live (held entries
+	// ride the checkpoint instead); rebuilt from both on restart, pruned
+	// by the retention window.
 	delivered map[string]deliveredEntry
+
+	// released lists the delivered entries in release (LSN) order, oldest
+	// first. Release time is monotone in LSN, so the entries the retention
+	// window has expired are a prefix: a checkpoint pops them, O(expired),
+	// and the front's LSN is the log's retain bound. (Across a reboot the
+	// clock can trail a pre-crash handler's effective time; an entry
+	// behind a younger one then expires late, never early.) held are
+	// the popped entries the prune had to keep (source position at or past
+	// the snapshot offset); they are re-checked at every checkpoint and
+	// carried in its payload, their records being below the retain bound.
+	released []releasedRef
+	held     []string
 
 	// dedupFloor records, per request-id source (a sysapi.Builder prefix +
 	// incarnation), the highest sequence number ever pruned from the
@@ -1278,6 +1299,7 @@ func (c *Coordinator) onLogSynced(ctx *sim.Context, m msgLogSynced) {
 		s := c.staged[n]
 		id := s.ent.resp.Req
 		c.delivered[id] = s.ent
+		c.released = append(c.released, releasedRef{lsn: s.lsn, id: id})
 		delete(c.stagedIDs, id)
 		if s.replyTo != "" {
 			ctx.Send(s.replyTo, sysapi.MsgResponse{Response: s.ent.resp},
@@ -1402,6 +1424,28 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	if c.sys.Dlog == nil {
 		return
 	}
+	size := c.checkpoint(ctx.Now())
+	ctx.Work(c.sys.cfg.Costs.StateCPU(size) + c.sys.cfg.Costs.LogSyncCPU)
+	c.flight().Recordf(ctx.Now(), c.sys.coordID, "checkpoint",
+		"seals snapshot %d: %d B, %d delivered, %d held", c.sealed, size, len(c.delivered), len(c.held))
+	// The checkpoint write is itself durable and covers every record
+	// appended so far — including a volatile pipelined epoch advance
+	// (the payload's epoch is the latest opened epoch) and the staged
+	// responses of the snapshot epoch, which release now: one checkpoint
+	// fsync stands in for the batch's group commit, the snapshot seal and
+	// the epoch record at once.
+	c.markDurable(c.lastLSN)
+	c.onLogSynced(ctx, msgLogSynced{UpTo: c.durableLSN})
+	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
+		c.sys.Snapshots.Compact(retain)
+	}
+}
+
+// checkpoint prunes the dedup window as of now, seals the latest
+// snapshot and writes the dlog checkpoint, returning the payload size.
+// It costs O(entries released or pruned since the last checkpoint): the
+// live delivered entries stay in the log's retained suffix untouched.
+func (c *Coordinator) checkpoint(now time.Duration) int {
 	// Prune settled dedup state: an entry may leave the maps once (a) its
 	// release is older than the retention window, so no client retry or
 	// delayed wire duplicate can still name it, and (b) its source
@@ -1413,54 +1457,77 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 		if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
 			offset = meta.SourceOffsets[sourceTopic][0]
 		}
-		for id, ent := range c.delivered {
-			if ent.at+retention <= ctx.Now() && ent.pos < offset {
-				// Pruning forfeits the recorded response, so raise the
-				// source's dedup floor: any later arrival of this id (or
-				// a lower sequence) is a very late duplicate that must be
-				// absorbed, not re-executed. The floor rides this same
-				// checkpoint, so it is durable exactly when the prune is.
-				if src, seq, ok := sysapi.SplitID(id); ok {
-					if cur, has := c.dedupFloor[src]; !has || seq > cur {
-						c.dedupFloor[src] = seq
-					}
-				}
-				delete(c.delivered, id)
-				delete(c.seen, id)
+		held := c.held[:0]
+		for _, id := range c.held {
+			if !c.prune(id, offset) {
+				held = append(held, id)
 			}
 		}
+		n := 0
+		for ; n < len(c.released); n++ {
+			id := c.released[n].id
+			if c.delivered[id].at+retention > now {
+				break
+			}
+			if !c.prune(id, offset) {
+				held = append(held, id)
+			}
+		}
+		c.released = c.released[n:]
+		c.held = held
 	}
-	// Staged-but-unreleased responses are durable facts too (their records
-	// are about to be compacted away): bake them into the checkpoint so a
-	// later crash still suppresses their replays — the un-sent responses
-	// are then served via retry replay.
 	c.sealed = c.snapshotID
+	payload := encodeCheckpoint(c.checkpointState())
+	// The checkpoint's own sync makes the retained suffix durable with
+	// the payload, including the staged delivered-records of the snapshot
+	// epoch that the seal depends on.
+	c.sys.Dlog.Checkpoint(payload, c.retainLSN())
+	return len(payload)
+}
+
+// prune retires one expired delivered entry unless its source position
+// is at or past the snapshot offset (a recovery replay could still
+// re-execute it); it reports whether the entry was retired. Pruning
+// forfeits the recorded response, so it raises the source's dedup floor:
+// any later arrival of this id (or a lower sequence) is a very late
+// duplicate that must be absorbed, not re-executed. The floor rides the
+// same checkpoint, so it is durable exactly when the prune is.
+func (c *Coordinator) prune(id string, offset int64) bool {
+	if c.delivered[id].pos >= offset {
+		return false
+	}
+	if src, seq, ok := sysapi.SplitID(id); ok {
+		if cur, has := c.dedupFloor[src]; !has || seq > cur {
+			c.dedupFloor[src] = seq
+		}
+	}
+	delete(c.delivered, id)
+	delete(c.seen, id)
+	return true
+}
+
+// checkpointState is the summary a checkpoint carries: everything the
+// retained log suffix does not cover.
+func (c *Coordinator) checkpointState() walCheckpoint {
 	ck := walCheckpoint{epoch: c.epoch, nextTID: c.nextTID, sealed: c.sealed,
-		sealedCut: c.snapCuts[c.sealed], delivered: c.delivered, floors: c.dedupFloor}
+		sealedCut: c.snapCuts[c.sealed], floors: c.dedupFloor}
+	for _, id := range c.held {
+		ck.held = append(ck.held, heldEntry{id: id, ent: c.delivered[id]})
+	}
+	return ck
+}
+
+// retainLSN is the checkpoint's retain bound: the oldest record still
+// live — the oldest released entry's, else the oldest staged one's (the
+// staged records release at this very checkpoint), else none.
+func (c *Coordinator) retainLSN() int64 {
+	if len(c.released) > 0 {
+		return c.released[0].lsn
+	}
 	if len(c.staged) > 0 {
-		merged := make(map[string]deliveredEntry, len(c.delivered)+len(c.staged))
-		for id, ent := range c.delivered {
-			merged[id] = ent
-		}
-		for _, s := range c.staged {
-			merged[s.ent.resp.Req] = s.ent
-		}
-		ck.delivered = merged
+		return c.staged[0].lsn
 	}
-	payload := encodeCheckpoint(ck)
-	ctx.Work(c.sys.cfg.Costs.StateCPU(len(payload)) + c.sys.cfg.Costs.LogSyncCPU)
-	c.sys.Dlog.Checkpoint(ctx.Now(), payload)
-	// The checkpoint write is itself durable and subsumes every record
-	// appended so far — including a volatile pipelined epoch advance
-	// (ck.epoch is the latest opened epoch) and the staged responses of
-	// the snapshot epoch, which release now: one checkpoint fsync stands
-	// in for the batch's group commit, the snapshot seal and the epoch
-	// record at once.
-	c.markDurable(c.lastLSN)
-	c.onLogSynced(ctx, msgLogSynced{UpTo: c.durableLSN})
-	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
-		c.sys.Snapshots.Compact(retain)
-	}
+	return dlog.RetainNone
 }
 
 // openEpoch advances the epoch (durably — blocking on the serial
@@ -1839,7 +1906,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 		// A durable checkpoint is written atomically; a decode failure
 		// means corruption outside the crash contract. Start from zero —
 		// the replayable source and snapshots still bound the damage.
-		ck = walCheckpoint{delivered: map[string]deliveredEntry{}, floors: map[string]int64{}}
+		ck = walCheckpoint{floors: map[string]int64{}}
 	}
 	c.exec, c.commit = nil, nil
 	c.recovering = false
@@ -1859,14 +1926,22 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.epoch = ck.epoch
 	c.nextTID = ck.nextTID
 	c.sealed = ck.sealed
-	c.delivered = ck.delivered
 	c.dedupFloor = ck.floors
 	// The sealed snapshot's cut is the only one a restart can restore to,
 	// so it is the only one the checkpoint needs to carry.
 	c.snapCuts = map[int64]time.Duration{ck.sealed: ck.sealedCut}
-	ctx.Work(c.sys.cfg.Costs.LogSyncCPU)
+	// Delivered entries: the held ones the checkpoint carries, plus one
+	// per delivered-record in the retained suffix, whose LSN order is the
+	// release order the next prune pops in.
+	c.delivered = make(map[string]deliveredEntry, len(ck.held)+len(img.Records))
+	c.released, c.held = nil, nil
+	for _, h := range ck.held {
+		c.delivered[h.id] = h.ent
+		c.held = append(c.held, h.id)
+	}
+	read := len(img.Checkpoint)
 	for _, r := range img.Records {
-		ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
+		read += len(r.Data)
 		switch r.Kind {
 		case recKindEpoch:
 			if e, err := decodeEpochRecord(r.Data); err == nil && e > c.epoch {
@@ -1875,9 +1950,14 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 		case recKindDelivered:
 			if id, ent, err := decodeDeliveredRecord(r.Data); err == nil {
 				c.delivered[id] = ent
+				c.released = append(c.released, releasedRef{lsn: r.LSN, id: id})
 			}
 		}
 	}
+	// Reading the image back: the device read, one record decode each, and
+	// the bytes themselves.
+	costs := c.sys.cfg.Costs
+	ctx.Work(costs.LogSyncCPU + time.Duration(len(img.Records))*costs.LogAppendCPU + costs.StateCPU(read))
 	if !c.sys.cfg.DisablePipelining {
 		// Compensate for the single epoch-advance record the pipelined
 		// schedule allows to be volatile: it may have been torn by the

@@ -274,6 +274,9 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.binding_replays":          func() int64 { return int64(c.BindingReplays) },
 		"coordinator.global_fences":            func() int64 { return int64(c.GlobalFences) },
 		"coordinator.global_applies":           func() int64 { return int64(c.GlobalApplies) },
+		// Growth gauges: the dedup maps, bounded by DedupRetention.
+		"coordinator.delivered": func() int64 { return int64(len(c.delivered)) },
+		"coordinator.seen":      func() int64 { return int64(len(c.seen)) },
 	} {
 		reg.Func(ns+name, read)
 	}
@@ -286,6 +289,9 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 			"dlog.checkpoints":    func() int64 { return int64(dl.Stats().Checkpoints) },
 			"dlog.compacted":      func() int64 { return int64(dl.Stats().Compacted) },
 			"dlog.torn_tails":     func() int64 { return int64(dl.Stats().TornTails) },
+			// Growth gauges: the retained suffix and the latest payload.
+			"dlog.live_records":     func() int64 { return int64(dl.Len()) },
+			"dlog.checkpoint_bytes": func() int64 { return int64(dl.Stats().CheckpointBytes) },
 		} {
 			reg.Func(ns+name, read)
 		}
@@ -365,10 +371,8 @@ func (s *System) CheckpointPreloadedState() {
 	// binding against it).
 	s.coord.snapCuts[id] = -1
 	if s.Dlog != nil {
-		s.coord.sealed, s.coord.snapshotID = id, id
-		s.Dlog.Checkpoint(0, encodeCheckpoint(walCheckpoint{
-			sealed: id, sealedCut: -1, delivered: map[string]deliveredEntry{},
-		}))
+		s.coord.snapshotID = id
+		s.coord.checkpoint(0)
 	}
 }
 

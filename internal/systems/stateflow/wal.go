@@ -1,8 +1,11 @@
 // Typed durable-log records of the StateFlow coordinator. The coordinator
 // writes its protocol-critical state — the coordination epoch and every
-// released client response — to an append-only dlog and folds the rest
-// into checkpoint payloads, so a restart can rebuild exactly the facts
-// the exactly-once contract depends on.
+// released client response — to an append-only dlog. A checkpoint
+// payload carries the small summary the records no longer cover (epoch,
+// next TID, snapshot seal, dedup floors, held entries); every delivered
+// entry still inside the dedup window keeps its own record in the
+// retained log suffix. A restart rebuilds exactly the facts the
+// exactly-once contract depends on from the payload plus that suffix.
 package stateflow
 
 import (
@@ -48,18 +51,22 @@ type deliveredEntry struct {
 }
 
 // walCheckpoint is the compacted coordinator state a dlog checkpoint
-// carries: everything the coordinator must remember that individual
-// records no longer cover once the log prefix is dropped.
+// carries: everything the coordinator must remember that the retained
+// log suffix no longer covers once the prefix below the retain bound is
+// dropped. Delivered entries are NOT folded in: each one's
+// delivered-record stays in the retained suffix for as long as the entry
+// is live (the retain bound is the oldest live record), so a checkpoint
+// costs O(entries released or pruned since the last one), not O(window).
 type walCheckpoint struct {
 	epoch   int64
 	nextTID aria.TID
 	// sealed is the id of the newest snapshot this checkpoint vouches
 	// for: its images are complete AND every delivered-record its state
-	// depends on is inside this checkpoint (or the durable log). Recovery
-	// restores only sealed snapshots — a snapshot whose images finished
-	// but whose seal never became durable is treated as if it were never
-	// taken, which is what lets the snapshot path skip the pre-image
-	// WAL force and ride the checkpoint's own sync instead.
+	// depends on is durable in this checkpoint or the retained suffix.
+	// Recovery restores only sealed snapshots — a snapshot whose images
+	// finished but whose seal never became durable is treated as if it
+	// were never taken, which is what lets the snapshot path skip the
+	// pre-image WAL force and ride the checkpoint's own sync instead.
 	sealed int64
 	// sealedCut is the virtual time of the sealed snapshot's aligned cut
 	// (when its epoch staged its last response). Recovery compares each
@@ -69,13 +76,27 @@ type walCheckpoint struct {
 	// after). Durable alongside sealed because the comparison must
 	// survive a coordinator reboot.
 	sealedCut time.Duration
-	delivered map[string]deliveredEntry
 	// floors carries the per-source incarnation dedup floors (highest
 	// pruned sequence per request-id source): once a source's entries
 	// are pruned from delivered, the floor is the only fact left that
 	// keeps a very late duplicate from re-executing, so it must survive
 	// restarts alongside the prune that raised it.
 	floors map[string]int64
+	// held are the delivered entries past the retention window that the
+	// prune had to keep because a recovery replay can still re-execute
+	// them (source position at or past the snapshot offset). Their
+	// records fall below the retain bound, so the checkpoint carries
+	// them itself. Few: an entry can only outlive the window ahead of a
+	// snapshot offset while the cursor trails it — a global apply's
+	// embedded responses while the backlog queued behind the fence
+	// drains, or a recovery's rewound cursor.
+	held []heldEntry
+}
+
+// heldEntry is one delivered entry a checkpoint carries by value.
+type heldEntry struct {
+	id  string
+	ent deliveredEntry
 }
 
 func encodeEpochRecord(epoch int64) dlog.Record {
@@ -144,7 +165,12 @@ func encodeDeliveredRecord(id string, ent deliveredEntry) dlog.Record {
 }
 
 func decodeDeliveredRecord(data []byte) (string, deliveredEntry, error) {
-	return readDelivered(interp.NewDecoder(data))
+	d := interp.NewDecoder(data)
+	id, ent, err := readDelivered(d)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("stateflow: delivered record: %d trailing bytes", d.Remaining())
+	}
+	return id, ent, err
 }
 
 func encodeCheckpoint(c walCheckpoint) []byte {
@@ -153,13 +179,9 @@ func encodeCheckpoint(c walCheckpoint) []byte {
 	e.Varint(int64(c.nextTID))
 	e.Varint(c.sealed)
 	e.Varint(int64(c.sealedCut))
-	e.Uvarint(uint64(len(c.delivered)))
-	// Deterministic order is not required for correctness (entries land in
-	// a map) but keeps same-run checkpoints byte-identical for tests.
-	for _, id := range sortedKeys(c.delivered) {
-		appendDelivered(e, id, c.delivered[id])
-	}
 	e.Uvarint(uint64(len(c.floors)))
+	// Sorted so same-run checkpoints are byte-identical; the map holds one
+	// entry per request-id source, not per request.
 	srcs := make([]string, 0, len(c.floors))
 	for src := range c.floors {
 		srcs = append(srcs, src)
@@ -169,67 +191,60 @@ func encodeCheckpoint(c walCheckpoint) []byte {
 		e.Str(src)
 		e.Varint(c.floors[src])
 	}
+	e.Uvarint(uint64(len(c.held)))
+	for _, h := range c.held {
+		appendDelivered(e, h.id, h.ent)
+	}
 	return e.Bytes()
 }
 
 func decodeCheckpoint(data []byte) (walCheckpoint, error) {
-	out := walCheckpoint{delivered: map[string]deliveredEntry{}, floors: map[string]int64{}}
+	out := walCheckpoint{floors: map[string]int64{}}
 	if len(data) == 0 {
 		return out, nil
 	}
+	fail := func(err error) (walCheckpoint, error) {
+		return walCheckpoint{floors: map[string]int64{}}, fmt.Errorf("stateflow: checkpoint: %w", err)
+	}
 	d := interp.NewDecoder(data)
-	epoch, err := d.Varint()
-	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
-	}
-	tid, err := d.Varint()
-	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
-	}
-	sealed, err := d.Varint()
-	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
-	}
-	sealedCut, err := d.Varint()
-	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
-	}
-	n, err := d.Uvarint()
-	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
-	}
-	out.epoch, out.nextTID, out.sealed = epoch, aria.TID(tid), sealed
-	out.sealedCut = time.Duration(sealedCut)
-	for i := uint64(0); i < n; i++ {
-		id, ent, err := readDelivered(d)
+	var head [4]int64
+	for i := range head {
+		v, err := d.Varint()
 		if err != nil {
-			return out, err
+			return fail(err)
 		}
-		out.delivered[id] = ent
+		head[i] = v
 	}
+	out.epoch, out.nextTID, out.sealed = head[0], aria.TID(head[1]), head[2]
+	out.sealedCut = time.Duration(head[3])
 	nf, err := d.Uvarint()
 	if err != nil {
-		return out, fmt.Errorf("stateflow: checkpoint: %w", err)
+		return fail(err)
 	}
 	for i := uint64(0); i < nf; i++ {
 		src, err := d.Str()
 		if err != nil {
-			return out, fmt.Errorf("stateflow: checkpoint: %w", err)
+			return fail(err)
 		}
 		floor, err := d.Varint()
 		if err != nil {
-			return out, fmt.Errorf("stateflow: checkpoint: %w", err)
+			return fail(err)
 		}
 		out.floors[src] = floor
 	}
-	return out, nil
-}
-
-func sortedKeys(m map[string]deliveredEntry) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	nh, err := d.Uvarint()
+	if err != nil {
+		return fail(err)
 	}
-	sort.Strings(out)
-	return out
+	for i := uint64(0); i < nh; i++ {
+		id, ent, err := readDelivered(d)
+		if err != nil {
+			return fail(err)
+		}
+		out.held = append(out.held, heldEntry{id: id, ent: ent})
+	}
+	if d.Remaining() != 0 {
+		return fail(fmt.Errorf("%d trailing bytes", d.Remaining()))
+	}
+	return out, nil
 }
